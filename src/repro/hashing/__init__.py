@@ -6,8 +6,10 @@ the bucket-assignment functions ``h : [n] -> [s]`` of the CM/CS matrices and
 the sign functions ``r : [n] -> {-1, +1}`` of Count-Sketch.
 
 This package provides multiply-mod-prime k-wise independent families that can
-be evaluated both on scalars (streaming updates) and on whole index ranges at
-once (vectorised sketching of a full frequency vector).
+be evaluated both on scalars (streaming updates) and on whole batches of keys
+at once.  Batch evaluation runs in the native kernel of :mod:`repro._kernels`
+when it is loaded and in numpy otherwise, with bit-identical results; the
+sketch tables' ingest path fuses the same hash into its scatter there.
 """
 
 from repro.hashing.families import (

@@ -7,15 +7,17 @@ over GF(p) with p = 2^61 - 1, reduced modulo the target range::
 
 For k = 2 this is the classical pairwise-independent multiply-mod-prime
 construction used by Count-Min / Count-Median / Count-Sketch.  Evaluation is
-available both element-wise (``__call__`` on a python int) and vectorised over
-numpy index arrays (``hash_array`` / ``hash_all``), which is what makes the
-numpy sketching path fast.
+available element-wise (``__call__`` on a python int), vectorised over numpy
+index arrays (``hash_array`` / ``hash_all``) and row-stacked over a whole
+family (:func:`hash_matrix`, which runs in the native kernel of
+:mod:`repro._kernels` when it is loaded).
 
 The arithmetic is done with python integers when evaluating scalars (exact,
 no overflow concerns) and with ``object``-free numpy ``uint64`` arithmetic via
 128-bit emulation when evaluating arrays.  Because p < 2^61 and coefficients
 are < p, the product a*x can exceed 64 bits; we therefore split operands into
-high/low 32-bit halves for the vectorised path.
+high/low 32-bit halves for the vectorised path.  The native kernel computes
+the same values with a 128-bit multiply.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import List, Sequence
 
 import numpy as np
 
+from repro import _kernels
 from repro.utils.rng import RandomSource, as_rng
 from repro.utils.validation import require_positive_int
 
@@ -79,8 +82,7 @@ def _fold61(x: np.ndarray) -> np.ndarray:
     ``x = q·2^61 + r`` gives ``x ≡ q + r``, and ``q + r < p + 9`` for any
     64-bit ``x``, so one conditional subtract completes the reduction.
     Shift/mask/where run at SIMD speed where the ``%`` ufunc (integer
-    division) does not — this is what makes on-demand hashing cheap enough
-    to replace the precomputed bucket tables.
+    division) does not.
     """
     p = np.uint64(MERSENNE_PRIME_61)
     folded = (x >> np.uint64(61)) + (x & p)
@@ -208,9 +210,9 @@ def hash_matrix(hashes: Sequence[KWiseHash], items) -> np.ndarray:
     pass: the splitmix64 finalizer runs once for the whole batch (it is
     shared by every row) and the per-row polynomials are evaluated on a
     row-stacked ``(depth, k)`` coefficient matrix with broadcasting.  The
-    outputs are bit-identical to the per-row ``hash_array`` path — this is
-    what lets the sketch tables compute bucket assignments on demand instead
-    of materialising a ``(depth, dimension)`` table at construction.
+    outputs are bit-identical to the per-row ``hash_array`` path, and to the
+    native kernel's ``hash_rows``, which replaces the numpy evaluation when
+    it is loaded.
 
     All hashes must share ``range_size`` and ``independence`` (they do for
     every table built by :func:`hash_family`).
@@ -228,10 +230,13 @@ def hash_matrix(hashes: Sequence[KWiseHash], items) -> np.ndarray:
     arr = np.asarray(items, dtype=np.uint64)
     if arr.ndim != 1:
         raise ValueError(f"items must be 1-D, got shape {arr.shape}")
-    mixed = _fold61(_mix_array(arr))[None, :]
     coefficients = np.array(
         [h.coefficients for h in hashes], dtype=np.uint64
     )
+    kernel = _kernels.KERNEL
+    if kernel is not None:
+        return kernel.hash_rows(arr, coefficients, range_size)
+    mixed = _fold61(_mix_array(arr))[None, :]
     # Horner evaluation seeded with each row's leading coefficient (the
     # first iteration of the classical loop is a multiply by zero); the
     # (depth, 1) seed broadcasts through _mulmod_arrays

@@ -20,10 +20,12 @@ One :class:`ReproServer` owns exactly one **writer** and any number of
   current replica was restored from — answers are bit-identical to a local
   ``from_bytes`` restore of that payload.
 
-Per-connection traffic is accounted through the
-:class:`~repro.distributed.network.CommunicationLog` (declared words next
-to true serialized bytes — the same reconciliation discipline the
-simulated distributed layer uses), surfaced by the ``stats`` operation.
+Per-connection traffic is accounted in six running counters per live
+connection (frames, bytes and updates or queries per operation kind); a
+closed connection folds into one lifetime aggregate, so the accounting
+state stays fixed-size however many frames and connections a server sees.
+The ``stats`` operation reports both, along with which ingest kernel
+(``native`` or ``numpy``) the process runs.
 
 Graceful shutdown (:meth:`ReproServer.drain`, wired to ``SIGTERM`` by
 ``repro serve``): stop accepting connections, reject new operations with a
@@ -43,10 +45,10 @@ from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from repro import _kernels
 from repro.api.config import SketchConfig
 from repro.api.errors import CapabilityError, ConfigError
 from repro.api.session import SketchSession
-from repro.distributed.network import CommunicationLog
 from repro.serialization import SerializationError
 from repro.server.config import ServerConfig
 from repro.server.errors import (
@@ -95,6 +97,28 @@ class _Batch(NamedTuple):
     deltas: np.ndarray
 
 
+#: the running traffic counters kept per connection (and in the lifetime
+#: aggregate of closed connections), as the ``stats`` operation reports them
+TRAFFIC_KEYS = (
+    "messages", "ingest_bytes", "ingest_updates", "query_bytes", "queries",
+    "other_bytes",
+)
+
+
+def _count_frame(traffic: Dict[str, int], op: Any, words: int,
+                 nbytes: int) -> None:
+    """Fold one answered frame into a connection's running counters."""
+    traffic["messages"] += 1
+    if op == "ingest":
+        traffic["ingest_bytes"] += nbytes
+        traffic["ingest_updates"] += int(words) // 2
+    elif op == "query":
+        traffic["query_bytes"] += nbytes
+        traffic["queries"] += 1
+    else:
+        traffic["other_bytes"] += nbytes
+
+
 class ReproServer:
     """The asyncio TCP service over one writer session and its replicas.
 
@@ -133,9 +157,10 @@ class ReproServer:
         self._pending_updates = 0
         self._dirty_since: Optional[float] = None
         self._conn_serial = 0
-        self._conn_logs: Dict[str, CommunicationLog] = {}
+        self._live_traffic: Dict[str, Dict[str, int]] = {}
+        self._closed_traffic: Dict[str, int] = dict.fromkeys(TRAFFIC_KEYS, 0)
+        self._closed_connections = 0
         self._conn_writers: set = set()
-        self._lifetime: Dict[str, Dict[str, int]] = {}
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -359,8 +384,8 @@ class ReproServer:
             f"{peer[0]}:{peer[1]}" if isinstance(peer, tuple) and len(peer) >= 2
             else f"conn-{self._conn_serial}"
         )
-        log = CommunicationLog()
-        self._conn_logs[conn_id] = log
+        traffic = dict.fromkeys(TRAFFIC_KEYS, 0)
+        self._live_traffic[conn_id] = traffic
         self._conn_writers.add(writer)
         try:
             while True:
@@ -390,17 +415,13 @@ class ReproServer:
                 )
                 if sent is None:
                     return
-                op = header.get("op")
-                log.record(
-                    sender=conn_id,
-                    payload_words=words,
-                    description=op if isinstance(op, str) else "?",
-                    payload_bytes=len(payload) + sent,
+                _count_frame(
+                    traffic, header.get("op"), words, len(payload) + sent
                 )
         except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
             pass
         finally:
-            self._fold_connection(conn_id, log)
+            self._fold_connection(conn_id)
             self._conn_writers.discard(writer)
             writer.close()
 
@@ -635,47 +656,25 @@ class ReproServer:
     # ------------------------------------------------------------------ #
     # accounting
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _summarize_log(log: CommunicationLog) -> Dict[str, int]:
-        summary = {
-            "messages": log.message_count,
-            "ingest_bytes": 0,
-            "ingest_updates": 0,
-            "query_bytes": 0,
-            "queries": 0,
-            "other_bytes": 0,
-        }
-        for message in log.messages:
-            if message.description == "ingest":
-                summary["ingest_bytes"] += message.payload_bytes
-                summary["ingest_updates"] += message.payload_words // 2
-            elif message.description == "query":
-                summary["query_bytes"] += message.payload_bytes
-                summary["queries"] += 1
-            else:
-                summary["other_bytes"] += message.payload_bytes
-        return summary
-
-    def _fold_connection(self, conn_id: str, log: CommunicationLog) -> None:
-        self._conn_logs.pop(conn_id, None)
-        self._lifetime[conn_id] = self._summarize_log(log)
+    def _fold_connection(self, conn_id: str) -> None:
+        traffic = self._live_traffic.pop(conn_id, None)
+        if traffic is None:
+            return
+        for key, value in traffic.items():
+            self._closed_traffic[key] += value
+        self._closed_connections += 1
 
     async def _op_stats(
         self, header: Dict[str, Any], payload: bytes
     ) -> Tuple[Dict[str, Any], bytes, int]:
-        live = {
-            conn_id: self._summarize_log(log)
-            for conn_id, log in self._conn_logs.items()
+        connections = {
+            conn_id: dict(traffic)
+            for conn_id, traffic in self._live_traffic.items()
         }
-        connections = dict(self._lifetime)
-        connections.update(live)
-        totals = {
-            "ingest_bytes": 0, "ingest_updates": 0, "query_bytes": 0,
-            "queries": 0, "other_bytes": 0, "messages": 0,
-        }
-        for summary in connections.values():
-            for key in totals:
-                totals[key] += summary.get(key, 0)
+        totals = dict(self._closed_traffic)
+        for traffic in connections.values():
+            for key, value in traffic.items():
+                totals[key] += value
         return (
             {
                 "ok": True,
@@ -692,7 +691,9 @@ class ReproServer:
                     self._published.items if self._published else 0
                 ),
                 "connections": connections,
+                "closed_connections": self._closed_connections,
                 "totals": totals,
+                "kernel": _kernels.backend(),
             },
             b"",
             0,

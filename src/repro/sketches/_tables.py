@@ -16,6 +16,11 @@ key.  A small block cache keeps the assignments of the hottest (lowest) keys
 materialised, which restores the one-gather fast path for the dense small
 universes the evaluation harness sweeps.
 
+Batch ingestion (:meth:`HashedCounterTable.add_batch`) runs in the native
+kernel of :mod:`repro._kernels` when it is loaded: it hashes every row on
+the fly and scatters into the counters, byte-identical to the numpy
+reference (fused hash, ``np.bincount``) that runs otherwise.
+
 Data-independent structure that *is* O(width) — the per-bucket coordinate
 counts π / sign sums ψ needed by the bias-aware recovery — is computed by a
 blockwise scan over the (necessarily bounded) domain and memoised in a
@@ -27,11 +32,13 @@ the O(n) scan each.
 from __future__ import annotations
 
 from collections import OrderedDict
+from functools import cached_property
 from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import _kernels
 from repro.hashing.families import KWiseHash, hash_family, hash_matrix
 from repro.hashing.signs import SignHash, sign_family, sign_matrix
 from repro.sketches.base import SCAN_BLOCK
@@ -140,6 +147,22 @@ class HashedCounterTable:
     # ------------------------------------------------------------------ #
     # on-demand addressing
     # ------------------------------------------------------------------ #
+    # built on first ingest, not at construction, which stays as cheap as
+    # the hash family draw itself
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        """Row-stacked ``(depth, k)`` bucket-hash coefficients (native kernel)."""
+        return np.array([h.coefficients for h in self.hashes], dtype=np.uint64)
+
+    @cached_property
+    def sign_coefficients(self) -> Optional[np.ndarray]:
+        """Row-stacked sign-hash coefficients, or ``None`` for unsigned tables."""
+        if self.signs is None:
+            return None
+        return np.array(
+            [s._bit_hash.coefficients for s in self.signs], dtype=np.uint64
+        )
+
     def _ensure_hot_cache(self) -> None:
         if self._bucket_cache is not None:
             return
@@ -298,15 +321,25 @@ class HashedCounterTable:
         flattened ``(depth, width)`` table per :data:`SCAN_BLOCK` chunk:
         per-row bucket columns are hashed for the chunk in one fused pass,
         offset by ``row * width``, and accumulated in one go — so transient
-        memory stays O(depth × block) no matter how large the batch.  For
+        memory stays O(depth × block) no matter how large the batch.  The
+        native kernel, when loaded, hashes and scatters each chunk in C with
+        the same summation order, so its counters are byte-identical.  For
         integer-valued deltas the resulting counters are bit-exact equal to
         replaying the batch through :meth:`add_update`; for general floats
-        they agree up to summation order.
+        they agree up to summation order.  Every key is validated before
+        any counter is touched.
         """
-        indices = np.asarray(indices)
+        indices = self._checked_keys(indices)
         if indices.size == 0:
             return
         deltas = np.broadcast_to(deltas, indices.shape)
+        kernel = _kernels.KERNEL
+        if kernel is not None:
+            kernel.scatter_add(
+                self.table, indices, deltas, self.coefficients,
+                self.sign_coefficients, SCAN_BLOCK,
+            )
+            return
         for start in range(0, indices.size, SCAN_BLOCK):
             stop = start + SCAN_BLOCK
             chunk = indices[start:stop]
@@ -603,12 +636,14 @@ class SharedCounterBlock:
                name: Optional[str] = None) -> "SharedCounterBlock":
         """Allocate a new zero-filled block; the caller owns the segment."""
         layout = _normalize_layout(layout)
+        # create=True opens with O_CREAT | O_EXCL, so the segment is always
+        # new (an existing name raises FileExistsError) and its ftruncate'd
+        # pages read as zero; writing zeros over them would only fault in
+        # every page up front — for the sharded pool's staging segment that
+        # happens inside the timed ingest round whenever it grows
         segment = shared_memory.SharedMemory(
             name=name, create=True, size=max(1, _layout_nbytes(layout))
         )
-        # POSIX shm is zero-filled on creation; make it explicit anyway so a
-        # recycled name can never leak stale counters
-        segment.buf[: _layout_nbytes(layout)] = bytes(_layout_nbytes(layout))
         return cls(layout, segment, owner=True)
 
     @classmethod

@@ -23,8 +23,11 @@ min/max rule vectorises over the whole segment (one gather, ``min`` over
 depth, ``target = min + Δ``, one ``np.maximum`` scatter).  Only true
 collisions force a segment boundary and order across segments is preserved,
 so the batched state is **bit-identical** to scalar replay for integer
-deltas (float deltas match to coalescing order).  This is what makes CM-CU
-*exact-batchable* without being linear — the capability
+deltas (float deltas match to coalescing order).  Where the native kernel
+of :mod:`repro._kernels` is loaded, the coalesced runs skip segmentation
+and go through its scalar conservative-update loop instead — the same
+arithmetic in the same order, so the state is byte-identical either way.
+This is what makes CM-CU *exact-batchable* without being linear — the capability
 (``SketchSpec.exact_batch``) that lets tumbling-mode windows accept CU
 kinds: tumbling panes are independent and never merge, so the pane ring
 never needs the merge algebra (sliding and decay windows still do, and
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import _kernels
 from repro.serialization import register_serializable
 from repro.sketches import _cu_batch
 from repro.sketches._tables import HashedCounterTable
@@ -111,7 +115,18 @@ class CountMinCU(Sketch):
         return self
 
     def _flush_runs(self, run_indices: np.ndarray, run_deltas: np.ndarray) -> None:
-        """Apply coalesced non-zero runs through the segmented engine."""
+        """Apply coalesced non-zero runs through the segmented engine.
+
+        The native kernel, when loaded, applies the runs one at a time with
+        the scalar rule instead — the same arithmetic, byte-identical.
+        """
+        kernel = _kernels.KERNEL
+        if kernel is not None:
+            kernel.cu_update(
+                self._table.table, run_indices, run_deltas,
+                self._table.coefficients,
+            )
+            return
         table = self._table.table
         table_cells = self.depth * self.width
         for begin in range(0, run_indices.size, SCAN_BLOCK):

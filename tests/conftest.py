@@ -66,3 +66,28 @@ def small_count_vector(rng) -> np.ndarray:
 def sketch_params() -> dict:
     """A small but non-trivial sketch configuration shared across tests."""
     return {"width": 64, "depth": 5, "seed": 4242}
+
+
+@pytest.fixture(params=["native", "numpy"], scope="module")
+def kernel_backend(request):
+    """Run a suite once under the native ingest kernel and once under numpy.
+
+    ``numpy`` patches the loader's ``KERNEL`` to ``None`` for the module, so
+    every call site takes its numpy reference path.  ``native`` fails when
+    the kernel did not load: an unbuilt kernel is a failure, not a skip.
+    (Module scope keeps hypothesis' function-scoped-fixture check quiet and
+    groups each backend's tests together.)
+    """
+    from repro import _kernels
+
+    loaded = _kernels.KERNEL
+    if request.param == "native":
+        if loaded is None:
+            pytest.fail("the native ingest kernel did not load")
+        yield "native"
+        return
+    _kernels.KERNEL = None
+    try:
+        yield "numpy"
+    finally:
+        _kernels.KERNEL = loaded

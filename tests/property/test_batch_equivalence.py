@@ -18,6 +18,9 @@ from hypothesis import strategies as st
 
 from repro.sketches.registry import available_sketches, make_sketch
 
+#: every case runs under the native ingest kernel and under the numpy path
+pytestmark = pytest.mark.usefixtures("kernel_backend")
+
 DIMENSION = 96
 WIDTH = 16
 DEPTH = 3

@@ -27,6 +27,9 @@ from hypothesis import strategies as st
 from repro.sketches.conservative import CountMinCU
 from repro.sketches.count_min_log import CountMinLogCU
 
+#: every case runs under the native ingest kernel and under the numpy path
+pytestmark = pytest.mark.usefixtures("kernel_backend")
+
 DIMENSION = 96
 
 CU_KINDS = (CountMinCU, CountMinLogCU)

@@ -10,11 +10,15 @@ byte-stable across the refactor under arbitrary integer streams.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sketches._tables import HashedCounterTable
 from repro.sketches.registry import available_sketches, get_spec
+
+#: every case runs under the native ingest kernel and under the numpy path
+pytestmark = pytest.mark.usefixtures("kernel_backend")
 
 DIMENSION = 96
 WIDTH = 16

@@ -25,6 +25,9 @@ from repro.api import CapabilityError, SketchConfig
 from repro.sketches.registry import available_sketches, get_spec
 from repro.streaming import SlidingWindowSketch, WindowSpec
 
+#: every case runs under the native ingest kernel and under the numpy path
+pytestmark = pytest.mark.usefixtures("kernel_backend")
+
 DIMENSION = 64
 WIDTH = 16
 DEPTH = 3

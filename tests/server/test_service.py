@@ -7,6 +7,7 @@ smoke workload do.
 """
 
 import asyncio
+import time
 
 import numpy as np
 import pytest
@@ -162,6 +163,44 @@ class TestStats:
         with Client(handle.host, handle.port) as second:
             totals = second.stats()["totals"]
         assert totals["ingest_updates"] == 3
+
+
+def accounting_size(server):
+    """Entries held by the server's per-connection traffic accounting."""
+    live = server._live_traffic
+    return (
+        len(live),
+        sum(len(traffic) for traffic in live.values()),
+        len(server._closed_traffic),
+    )
+
+
+class TestBoundedAccounting:
+    def test_accounting_state_stays_fixed_size(self, handle):
+        server = handle.server
+        with Client(handle.host, handle.port) as client:
+            client.ping()
+            baseline = accounting_size(server)
+            for _ in range(9_999):
+                client.ping()
+            assert accounting_size(server) == baseline
+            for _ in range(500):
+                with Client(handle.host, handle.port) as other:
+                    other.ping()
+            for _ in range(500):
+                if client.stats()["closed_connections"] == 500:
+                    break
+                time.sleep(0.01)
+            stats = client.stats()
+            assert stats["closed_connections"] == 500
+            assert accounting_size(server) == baseline
+        assert len(stats["connections"]) == 1
+        assert stats["totals"]["messages"] >= 10_000 + 500
+
+    def test_stats_reports_the_ingest_kernel(self, client):
+        from repro import _kernels
+
+        assert client.stats()["kernel"] == _kernels.backend()
 
 
 class TestDrain:
